@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: ci build test race vet lint bench fuzz faultrace soak cachesoak obssoak chaossoak overloadsoak diffsoak cover
+.PHONY: ci build test race vet lint bench benchtest fuzz faultrace soak cachesoak obssoak chaossoak overloadsoak diffsoak cover
 
 ## ci: the full verification gate — lint, build, the test suite under the
 ## race detector (the parallel subproblem solver makes -race mandatory),
 ## the fault-injection suite re-run under -race, the serving-layer soak,
 ## the solution-cache soak, the observability soak, the subprocess chaos
 ## soak, the overload-control soak, the differential soak, the coverage
-## floors, and a fuzz smoke of the public API.
-ci: lint build race faultrace soak cachesoak obssoak chaossoak overloadsoak diffsoak cover fuzz
+## floors, the benchmark module's own tests, and a fuzz smoke of the public
+## API.
+ci: lint build race faultrace soak cachesoak obssoak chaossoak overloadsoak diffsoak cover benchtest fuzz
 
 build:
 	$(GO) build ./...
@@ -64,21 +65,20 @@ lint: vet
 ## soak: the serving-layer robustness suite under the race detector —
 ## concurrent clients against internal/server with faults armed: exactly one
 ## terminal outcome per request, shedding before unbounded queue growth,
-## breaker trip/probe/recovery, hedged-vs-unhedged determinism, bounded
-## drain. See DESIGN.md §9.
+## breaker trip/probe/recovery, bounded drain. See DESIGN.md §9.
 soak:
-	$(GO) test -race -count=1 -run 'Soak|Drain|Breaker|Shed|Hedge|Submit|Admit|Queue|ServeStream|Handle' ./internal/server ./cmd/telamallocd
+	$(GO) test -race -count=1 -run 'Soak|Drain|Breaker|Shed|Submit|Admit|Queue|ServeStream|Handle' ./internal/server ./cmd/telamallocd
 
 ## cachesoak: the reuse-layer acceptance soak under the race detector —
-## concurrent clients replaying a fixed workload against a hedged server
-## with a small cache: every cached/deduped/hint-replayed response must be
-## byte-identical to the cold solve, and the cache/dedup counters must
-## balance with the terminal-outcome ledger. See DESIGN.md §10.
+## concurrent clients replaying a fixed workload against a four-worker
+## server with a small cache: every cached/deduped/hint-replayed response
+## must be byte-identical to the cold solve, and the cache/dedup counters
+## must balance with the terminal-outcome ledger. See DESIGN.md §10.
 cachesoak:
 	$(GO) test -race -count=1 -run TestCacheSoak ./internal/server
 
 ## obssoak: the observability acceptance soak under the race detector — a
-## hedged server under mixed load with a live scraper goroutine: the
+## four-worker server under mixed load with a live scraper goroutine: the
 ## /metrics scrape must agree exactly with the Counters ledger after drain,
 ## histogram counts must equal admissions, and the tracer's span open/close
 ## accounting must balance with zero drops. See DESIGN.md §11.
@@ -98,7 +98,7 @@ chaossoak:
 ## stalls, budget starvation) under the race detector — the containment
 ## boundaries must hold when workers crash concurrently.
 faultrace:
-	$(GO) test -race -run 'Fault|Injected|Panic|Starv|Cancel' ./internal/core ./internal/faultinject ./internal/portfolio .
+	$(GO) test -race -run 'Fault|Injected|Panic|Starv|Cancel' ./internal/core ./internal/faultinject .
 
 ## overloadsoak: the overload-control acceptance soak under the race
 ## detector — a sustained mixed-class, mixed-tenant flood against a slowed
@@ -126,8 +126,8 @@ fuzz:
 
 ## diffsoak: the differential verification soak under the race detector —
 ## a client fleet and a bare Allocator solve the same seeded adversarial
-## stream, and every served response (cache-hit, deduped, hedged, or with
-## the brownout controller armed but idle) must be byte-identical to the
+## stream, and every served response (cache-hit, deduped, or with the
+## brownout controller armed but idle) must be byte-identical to the
 ## direct run and accepted by the independent checker; plus the oracle
 ## sweep: the heuristic ladder must never claim a packing on an instance
 ## the exact solver proves infeasible. See DESIGN.md §15.
@@ -147,3 +147,10 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+## benchtest: the benchmark module's own tests (telabench/ is a separate Go
+## module, so the root `go test ./...` does not reach it) — among them
+## TestBenchmarkFileMatchesMetrics, which keeps BENCHMARK.json and the
+## metrics the harness emits in step.
+benchtest:
+	cd telabench && $(GO) test -short -count=1 .

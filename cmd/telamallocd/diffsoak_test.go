@@ -2,7 +2,7 @@
 // adversarial stream through a live daemon while the same stream runs
 // through a bare Allocator, and every served verdict must match the direct
 // run byte-for-byte on the canonical response — across the cache-hit,
-// dedup, hedged, and brownout-configured-but-idle paths. Every wire report
+// dedup, and brownout-configured-but-idle paths. Every wire report
 // is additionally re-verified by the independent checker (internal/check),
 // which shares no code with the solver's own validators.
 package main
@@ -163,7 +163,6 @@ func TestDiffSoak(t *testing.T) {
 		cfg  server.Config
 	}{
 		{"plain", server.Config{Workers: 4, QueueDepth: depth}},
-		{"hedge", server.Config{Workers: 4, QueueDepth: depth, Hedge: true}},
 		// Brownout configured but idle: thresholds far above anything this
 		// load can reach. The controller being armed must not perturb a
 		// single byte (the no-overload identity the brownout PR promised).

@@ -2,10 +2,11 @@ package telamalloc
 
 // Tests for the decision-trace hint contract: AllocatePipeline exports the
 // winning stage's trace, WithHints replays one as a first-try packing that
-// skips the ladder, and an unusable hint falls through to the cold path
-// without changing the verdict.
+// skips the ladder (or, for Allocate, the search), and an unusable hint
+// falls through to the cold path without changing the verdict.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -114,5 +115,60 @@ func TestPipelineDegradedExportsNoTrace(t *testing.T) {
 	}
 	if res.Trace != nil {
 		t.Errorf("degraded result exported a trace: %+v", res.Trace)
+	}
+}
+
+// Allocate honours WithHints like the pipeline: a trace of the same shape
+// replays with no search at all, and an unusable one falls through to the
+// same cold solve as no hint.
+func TestAllocateReplaysHint(t *testing.T) {
+	p := tightProblem(t)
+	cold, err := AllocatePipeline(p, WithMaxSteps(100000))
+	if err != nil {
+		t.Fatalf("cold pipeline: %v", err)
+	}
+	sol, st, err := Allocate(p, WithMaxSteps(100000), WithHints(cold.Trace))
+	if err != nil {
+		t.Fatalf("hinted Allocate: %v", err)
+	}
+	if !slices.Equal(sol.Offsets, cold.Solution.Offsets) {
+		t.Errorf("replayed offsets %v, want the traced packing %v", sol.Offsets, cold.Solution.Offsets)
+	}
+	if st.Steps != 0 {
+		t.Errorf("replay took %d search steps, want 0", st.Steps)
+	}
+}
+
+func TestAllocateHintFallsThroughWhenUnusable(t *testing.T) {
+	p := tightProblem(t)
+	cold, err := AllocatePipeline(p, WithMaxSteps(100000))
+	if err != nil {
+		t.Fatalf("cold pipeline: %v", err)
+	}
+	want, wantSt, err := Allocate(p, WithMaxSteps(100000))
+	if err != nil {
+		t.Fatalf("unhinted Allocate: %v", err)
+	}
+	for name, hint := range map[string]*DecisionTrace{
+		"wrong shape": {Winner: cold.Trace.Winner, Shape: "not-a-real-shape",
+			Offsets: append([]int64(nil), cold.Trace.Offsets...)},
+		"overlapping": {Winner: cold.Trace.Winner, Shape: cold.Trace.Shape,
+			Offsets: make([]int64, len(cold.Trace.Offsets))}, // all zero: co-live buffers collide
+		"truncated": {Winner: cold.Trace.Winner, Shape: cold.Trace.Shape,
+			Offsets: cold.Trace.Offsets[:1]},
+	} {
+		sol, st, err := Allocate(p, WithMaxSteps(100000), WithHints(hint))
+		if err != nil {
+			t.Fatalf("%s hint: %v", name, err)
+		}
+		if verr := sol.Validate(p); verr != nil {
+			t.Errorf("%s hint: cold fallback invalid: %v", name, verr)
+		}
+		if !slices.Equal(sol.Offsets, want.Offsets) || st != wantSt {
+			t.Errorf("%s hint changed the cold solve: %v %+v, want %v %+v", name, sol.Offsets, st, want.Offsets, wantSt)
+		}
+		if st.Steps == 0 {
+			t.Errorf("%s hint: no search steps, but the hint was unusable", name)
+		}
 	}
 }

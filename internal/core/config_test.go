@@ -67,3 +67,28 @@ func TestAccumulateStats(t *testing.T) {
 		t.Errorf("MaxDepth = %d, want max not sum", dst.MaxDepth)
 	}
 }
+
+func TestChainCancel(t *testing.T) {
+	closed := make(chan struct{})
+	close(closed)
+	never, always := func() bool { return false }, func() bool { return true }
+	for _, tc := range []struct {
+		name string
+		done <-chan struct{}
+		prev func() bool
+		want bool
+	}{
+		{"done closed, no prev", closed, nil, true},
+		{"done closed, prev quiet", closed, never, true},
+		{"done open, prev fires", make(chan struct{}), always, true},
+		{"done open, prev quiet", make(chan struct{}), never, false},
+		{"done open, no prev", make(chan struct{}), nil, false},
+		{"nil done, no prev", nil, nil, false},
+		{"nil done, prev quiet", nil, never, false},
+		{"nil done, prev fires", nil, always, true},
+	} {
+		if got := ChainCancel(tc.done, tc.prev)(); got != tc.want {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

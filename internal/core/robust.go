@@ -108,12 +108,18 @@ func safeGate(g CandidateGate, st *telamon.State) (v bool) {
 func (cfg Config) withContext() Config {
 	cfg.Cancel = guardCancel(cfg.Cancel)
 	cfg.Hook = guardHook(cfg.Hook)
-	if cfg.Ctx == nil {
-		return cfg
+	if cfg.Ctx != nil {
+		cfg.Cancel = ChainCancel(cfg.Ctx.Done(), cfg.Cancel)
 	}
-	prev := cfg.Cancel
-	done := cfg.Ctx.Done()
-	cfg.Cancel = func() bool {
+	return cfg
+}
+
+// ChainCancel returns a cancellation hook that reports true once done is
+// closed and otherwise defers to prev (nil = never). A nil done channel —
+// context.Background's — never fires. Every place that folds a context into
+// the cooperative-cancellation path goes through here.
+func ChainCancel(done <-chan struct{}, prev func() bool) func() bool {
+	return func() bool {
 		select {
 		case <-done:
 			return true
@@ -121,5 +127,4 @@ func (cfg Config) withContext() Config {
 		}
 		return prev != nil && prev()
 	}
-	return cfg
 }

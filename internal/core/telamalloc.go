@@ -103,12 +103,6 @@ type Config struct {
 	// panic; panics are contained and surface as telamon.Internal. See
 	// internal/faultinject. Must be nil in production configurations.
 	Hook func(point string) bool
-	// Hint, when non-nil, proposes a complete packing to try before any
-	// search: a replayed solution from the serving layer's cache. It is
-	// trusted only after validating against the problem; an invalid hint is
-	// silently ignored and the solve proceeds cold. Hints never change the
-	// answer's validity — only how fast a repeated problem reaches it.
-	Hint *buffers.Solution
 	// Obs, when non-nil, routes this solve's telemetry (effort counters,
 	// per-solve histograms, the stride-sampled live step counter) into the
 	// given registry instead of the process-global obs.Default(). Recording
@@ -169,12 +163,6 @@ func solve(p *buffers.Problem, cfg Config) Result {
 	if len(p.Buffers) == 0 {
 		return Result{Status: telamon.Solved, Solution: buffers.NewSolution(0)}
 	}
-	if cfg.Hint != nil && cfg.Hint.Validate(p) == nil {
-		// A valid replayed packing short-circuits the whole search: the
-		// answer is already proven, so a warm start costs one validation
-		// sweep. Invalid hints fall through to the cold path below.
-		return Result{Status: telamon.Solved, Solution: cfg.Hint.Clone()}
-	}
 	var groups [][]int
 	if cfg.DisableSplit {
 		ids := make([]int, len(p.Buffers))
@@ -205,25 +193,14 @@ func (a Allocator) Allocate(p *buffers.Problem) (*buffers.Solution, error) {
 }
 
 // AllocateContext is Allocate with cooperative cancellation: the solve
-// aborts within the polling stride once ctx is done. It satisfies
-// portfolio.ContextAllocator, so a racing portfolio can stop a losing
-// TelaMalloc member as soon as a sibling wins.
+// aborts within the polling stride once ctx is done. Spill planning uses it
+// so a cancelled request stops mid-solve, not only between attempts.
 func (a Allocator) AllocateContext(ctx context.Context, p *buffers.Problem) (*buffers.Solution, error) {
 	cfg := a.Config
 	if ctx != nil {
 		if cfg.Ctx != nil {
-			// Both a config context and a call context: poll both. A nil
-			// Done channel (e.g. context.Background) never fires.
-			prev := cfg.Cancel
-			done := cfg.Ctx.Done()
-			cfg.Cancel = func() bool {
-				select {
-				case <-done:
-					return true
-				default:
-				}
-				return prev != nil && prev()
-			}
+			// Both a config context and a call context: poll both.
+			cfg.Cancel = ChainCancel(cfg.Ctx.Done(), cfg.Cancel)
 		}
 		cfg.Ctx = ctx
 	}

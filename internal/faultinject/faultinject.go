@@ -43,8 +43,6 @@ const (
 	PointServerAdmit = "server:admit"
 	// PointServerDequeue fires when a worker picks a request off the queue.
 	PointServerDequeue = "server:dequeue"
-	// PointServerHedge fires when a hedge attempt starts.
-	PointServerHedge = "server:hedge"
 	// PointServerDrain fires once when a drain begins.
 	PointServerDrain = "server:drain"
 	// PointServerBrownout fires on every brownout-controller evaluation

@@ -55,18 +55,17 @@ func (c BrownoutConfig) withDefaults() BrownoutConfig {
 func (c BrownoutConfig) enabled() bool { return c.Target > 0 }
 
 // The brownout ladder. Each level keeps the degradations of the levels
-// below it. Level 1 shrinks the per-request step pot (halved per level);
-// level 2 also disables hedging (pure capacity: hedges burn a worker-
-// adjacent goroutine per request and never change answers); level 3 also
-// drops the search stage for batch/background requests — the expensive
-// stage goes first for the traffic that can best tolerate a degraded
-// packing, while interactive requests keep the full ladder at every level.
+// below it. Level 1 shrinks the per-request step pot (halved per level, so
+// level 2 quarters it); level 3 also drops the search stage for
+// batch/background requests — the expensive stage goes first for the
+// traffic that can best tolerate a degraded packing, while interactive
+// requests keep the full ladder at every level.
 const (
-	brownoutOff        = 0
-	brownoutShrinkPots = 1
-	brownoutNoHedge    = 2
-	brownoutNoSearch   = 3
-	brownoutMaxLevel   = brownoutNoSearch
+	brownoutOff         = 0
+	brownoutShrinkPots  = 1
+	brownoutQuarterPots = 2
+	brownoutNoSearch    = 3
+	brownoutMaxLevel    = brownoutNoSearch
 )
 
 // brownoutSampleCap bounds the per-interval sample window; at high request

@@ -15,7 +15,6 @@ type counters struct {
 	degraded         atomic.Int64
 	failed           atomic.Int64
 	cancelled        atomic.Int64
-	hedgeWins        atomic.Int64
 	breakerTrips     atomic.Int64
 	breakerProbes    atomic.Int64
 	breakerRecovered atomic.Int64
@@ -50,8 +49,6 @@ type Counters struct {
 	Failed   int64
 	// Cancelled counts requests whose caller's context ended first.
 	Cancelled int64
-	// HedgeWins counts responses delivered by the hedge before the ladder.
-	HedgeWins int64
 	// BreakerTrips / BreakerProbes / BreakerRecoveries count circuit
 	// breaker transitions: closed→open, half-open probe admissions, and
 	// half-open→closed recoveries.
@@ -117,7 +114,6 @@ func (s *Server) Snapshot() Counters {
 		Degraded:          c.degraded.Load(),
 		Failed:            c.failed.Load(),
 		Cancelled:         c.cancelled.Load(),
-		HedgeWins:         c.hedgeWins.Load(),
 		BreakerTrips:      c.breakerTrips.Load(),
 		BreakerProbes:     c.breakerProbes.Load(),
 		BreakerRecoveries: c.breakerRecovered.Load(),

@@ -10,11 +10,6 @@
 //   - per-request deadlines: one wall-clock pot per request, measured from
 //     Submit so queue wait spends it, carved across pipeline stages by the
 //     pipeline's share logic;
-//   - hedged solving: a cheap heuristic hedge (greedy, then best-fit)
-//     races the full ladder; the first valid packing is served and the
-//     loser is cancelled through the context plumbing. Because the hedge
-//     mirrors the ladder's own deterministic prefix, responses are
-//     byte-identical (CanonicalJSON) with hedging on and off;
 //   - per-stage circuit breakers: a stage that repeatedly fails with
 //     ErrInternal (or times out, when configured) is skipped for a
 //     cooldown window and re-admitted through half-open probes;
@@ -58,8 +53,8 @@ var pipelineStages = []string{
 }
 
 // Config tunes the server. The zero value is usable: GOMAXPROCS workers, a
-// 64-deep queue, no per-request budget, hedging off, breakers at 3
-// failures / 5s cooldown.
+// 64-deep queue, no per-request budget, breakers at 3 failures / 5s
+// cooldown.
 type Config struct {
 	// Workers is the number of concurrent pipeline executions (default
 	// GOMAXPROCS).
@@ -79,9 +74,9 @@ type Config struct {
 	// carry a Tenant label.
 	Tenant TenantConfig
 	// Brownout enables the brownout controller: under sustained queue-wait
-	// pressure it steps the service down a degradation ladder (shrink step
-	// pots → disable hedging → skip search for batch/background) and back
-	// up when pressure clears, with hysteresis. Zero value = disabled.
+	// pressure it steps the service down a degradation ladder (halve step
+	// pots → quarter them → skip search for batch/background) and back up
+	// when pressure clears, with hysteresis. Zero value = disabled.
 	Brownout BrownoutConfig
 	// RequestTimeout is the default per-request wall-clock pot, measured
 	// from Submit (0 = none). Request.Timeout can only shrink it.
@@ -90,8 +85,6 @@ type Config struct {
 	MaxSteps int64
 	// Parallelism is forwarded to the allocator (0 = GOMAXPROCS).
 	Parallelism int
-	// Hedge races a greedy/best-fit hedge against the full ladder.
-	Hedge bool
 	// Breaker tunes the per-stage circuit breakers.
 	Breaker BreakerConfig
 	// Watchdog tunes the solve watchdog (off by default). When enabled it
@@ -111,9 +104,9 @@ type Config struct {
 	DisableDedup bool
 	// Hook is the test-only fault-injection hook, threaded through the
 	// server's own decision points (server:admit, server:dequeue,
-	// server:hedge, server:drain, server:brownout, server:expire,
-	// server:tenant) and into the pipeline's stage and solver points.
-	// Must be nil in production configurations.
+	// server:drain, server:brownout, server:expire, server:tenant) and into
+	// the pipeline's stage and solver points. Must be nil in production
+	// configurations.
 	Hook func(point string) bool
 	// Obs, when non-nil, routes the server's metrics — queue depth, wait and
 	// service histograms, the func-backed counter ledger — and every solve's
@@ -175,7 +168,6 @@ type Server struct {
 	closeQ   sync.Once
 
 	workerWG sync.WaitGroup // worker loops
-	bgWG     sync.WaitGroup // hedge/ladder goroutines, may outlive delivery
 
 	forceCtx    context.Context // cancelled to force-cancel in-flight work
 	forceCancel context.CancelFunc
@@ -309,7 +301,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Response, error) {
 	t0 := time.Now()
 	// The root span is opened here and closed on every exit path by the
 	// single End below — the balance invariant (opened == closed after
-	// drain) holds under hedging, cancellation, and contained panics
+	// drain) holds under concurrency, cancellation, and contained panics
 	// because no path returns without passing through it.
 	span := s.cfg.Tracer.Start(req.TraceID, "request")
 	resp, err := s.submit(ctx, req, t0)
@@ -858,9 +850,6 @@ func (s *Server) serveJob(j *job) {
 			if resp.Winner != "" {
 				attrs["winner"] = resp.Winner
 			}
-			if resp.HedgeWon {
-				attrs["hedge_won"] = true
-			}
 			if resp.DegradedByBrownout {
 				attrs["degraded_by_brownout"] = true
 			}
@@ -873,21 +862,19 @@ func (s *Server) serveJob(j *job) {
 	close(j.done)
 }
 
-// attempt is one arm of the hedged race.
-type attempt struct {
-	main bool // produced by the full ladder
-	miss bool // hedge found nothing; wait for the ladder
-	resp *Response
-	err  error
-}
-
-// runJob executes the pipeline (optionally hedged) for one job. Any panic
-// that slips past the inner boundaries is contained here and reported as a
-// failed outcome.
+// runJob executes the pipeline for one job. Any panic that slips past the
+// inner boundaries is contained here and reported as a failed outcome.
 func (s *Server) runJob(j *job, wait time.Duration) (resp *Response, err error) {
+	var decisions map[string]decision
 	defer func() {
 		if r := recover(); r != nil {
 			s.counters.containedPanics.Add(1)
+			if decisions != nil {
+				// Settle the breaker decisions with no signal: without
+				// this, a half-open probe slot would stay held forever and
+				// the stage could never be re-admitted.
+				s.observeBreakers(decisions, telamalloc.PipelineResult{}, false)
+			}
 			err = fmt.Errorf("%w: panic in server worker: %v", telamalloc.ErrInternal, r)
 			resp = &Response{Outcome: OutcomeFailed, Memory: j.req.Problem.Memory, Err: err.Error()}
 		}
@@ -940,10 +927,8 @@ func (s *Server) runJob(j *job, wait time.Duration) (resp *Response, err error) 
 			browned = true
 		}
 	}
-	ladderCtx, cancelLadder := context.WithCancel(j.ctx)
-	defer cancelLadder()
 	opts := []telamalloc.Option{
-		telamalloc.WithContext(ladderCtx),
+		telamalloc.WithContext(j.ctx),
 		telamalloc.WithParallelism(s.cfg.Parallelism),
 		telamalloc.WithStages(ladder...),
 	}
@@ -980,115 +965,26 @@ func (s *Server) runJob(j *job, wait time.Duration) (resp *Response, err error) 
 		opts = append(opts, telamalloc.WithObservability(s.cfg.Obs))
 	}
 
-	ch := make(chan attempt, 2)
-	s.bgWG.Add(1)
-	go func() {
-		defer s.bgWG.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				s.counters.containedPanics.Add(1)
-				// Settle the breaker decisions with no signal: without this,
-				// a half-open probe slot would stay held forever and the
-				// stage could never be re-admitted.
-				s.observeBreakers(decisions, telamalloc.PipelineResult{}, false)
-				ferr := fmt.Errorf("%w: panic around pipeline: %v", telamalloc.ErrInternal, r)
-				ch <- attempt{main: true, err: ferr, resp: &Response{
-					Outcome: OutcomeFailed, Memory: j.req.Problem.Memory, Err: ferr.Error(),
-				}}
-			}
-		}()
-		res, perr := telamalloc.AllocatePipeline(j.req.Problem, opts...)
-		s.observeBreakers(decisions, res, j.wdKilled.Load())
-		s.traceStages(j.req.TraceID, res)
-		ch <- attempt{main: true, resp: responseFrom(res, perr, skipped), err: perr}
-	}()
-	// Level 2+: no hedging. Hedges never change answers, only burn
-	// capacity racing the ladder — exactly what a saturated server lacks.
-	hedgePending := s.cfg.Hedge && level < brownoutNoHedge
-	if hedgePending {
-		s.bgWG.Add(1)
-		go func() {
-			defer s.bgWG.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					s.counters.containedPanics.Add(1)
-					ch <- attempt{miss: true}
-				}
-			}()
-			ch <- s.hedge(j)
-		}()
-	}
-
-	for {
-		a := <-ch
-		switch {
-		case a.miss:
-			hedgePending = false
-			continue
-		case !a.main:
-			// The hedge found a full packing first. Cancel the ladder (the
-			// deferred cancelLadder fires on return) and serve the hedge's
-			// answer — identical bytes to what the ladder's own heuristic
-			// prefix would have produced.
-			s.counters.hedgeWins.Add(1)
-			a.resp.HedgeWon = true
-			a.resp.SkippedByBreaker = skipped
-			return a.resp, nil
-		default:
-			// The full ladder's verdict — win, degradation, or structured
-			// failure — always outranks a pending hedge.
-			if errors.Is(a.err, telamalloc.ErrCancelled) {
-				if j.wdKilled.Load() {
-					// The cancellation was the watchdog's kill, not the
-					// caller's: surface it as the typed overrun failure.
-					werr := s.watchdogError(j)
-					return &Response{Outcome: OutcomeFailed, Memory: j.req.Problem.Memory, Err: werr.Error()}, werr
-				}
-				return nil, fmt.Errorf("%w: %v", ErrCancelled, a.err)
-			}
-			if browned && a.resp != nil {
-				// The verdict was bought with a degraded ladder (shrunk
-				// pot or dropped search) — mark it. Hedge wins are never
-				// marked: a heuristic's full packing is the same bytes
-				// browned or not.
-				a.resp.DegradedByBrownout = true
-			}
-			return a.resp, a.err
+	res, perr := telamalloc.AllocatePipeline(j.req.Problem, opts...)
+	s.observeBreakers(decisions, res, j.wdKilled.Load())
+	decisions = nil // settled; the recover above must not settle them again
+	s.traceStages(j.req.TraceID, res)
+	if errors.Is(perr, telamalloc.ErrCancelled) {
+		if j.wdKilled.Load() {
+			// The cancellation was the watchdog's kill, not the caller's:
+			// surface it as the typed overrun failure.
+			werr := s.watchdogError(j)
+			return &Response{Outcome: OutcomeFailed, Memory: j.req.Problem.Memory, Err: werr.Error()}, werr
 		}
+		return nil, fmt.Errorf("%w: %v", ErrCancelled, perr)
 	}
-}
-
-// hedge runs the cheap deterministic prefix of the ladder: greedy, then
-// best-fit. It reports a win only on a full packing, which is exactly when
-// the ladder's own first stages would have won with the same offsets.
-func (s *Server) hedge(j *job) attempt {
-	if s.cfg.Hook != nil {
-		s.cfg.Hook(faultinject.PointServerHedge) // panic contained by caller
+	resp = responseFrom(res, perr, skipped)
+	if browned {
+		// The verdict was bought with a degraded ladder (shrunk pot or
+		// dropped search) — mark it.
+		resp.DegradedByBrownout = true
 	}
-	p := j.req.Problem
-	if j.ctx.Err() != nil {
-		return attempt{miss: true}
-	}
-	if sol, err := telamalloc.AllocateGreedy(p); err == nil {
-		return attempt{resp: s.hedgeResponse(p, telamalloc.StageGreedy, sol)}
-	}
-	if j.ctx.Err() != nil {
-		return attempt{miss: true}
-	}
-	if sol, err := telamalloc.AllocateBestFit(p); err == nil {
-		return attempt{resp: s.hedgeResponse(p, telamalloc.StageBestFit, sol)}
-	}
-	return attempt{miss: true}
-}
-
-func (s *Server) hedgeResponse(p Problem, winner string, sol telamalloc.Solution) *Response {
-	return &Response{
-		Outcome:    OutcomeSolved,
-		Winner:     winner,
-		Offsets:    sol.Offsets,
-		LowerBound: telamalloc.MinMemoryLowerBound(p),
-		Memory:     p.Memory,
-	}
+	return resp, perr
 }
 
 // responseFrom maps a pipeline result to the service response.
@@ -1156,8 +1052,7 @@ func (s *Server) observeBreakers(decisions map[string]decision, res telamalloc.P
 		rep, ok := reports[stage]
 		ran := ok && !rep.Skipped
 		if ran && errors.Is(rep.Err, telamalloc.ErrCancelled) && !wdKilled {
-			// A cancelled stage (hedge won the race, caller gave up, drain
-			// force-cancel) carries no health signal: it must not close a
+			// A cancelled stage (caller gave up, drain force-cancel) carries no health signal: it must not close a
 			// half-open breaker as a "successful" probe, and it is not a
 			// failure either. Report it as not-run so the breaker releases
 			// the probe slot without a verdict. A watchdog kill is the
@@ -1209,7 +1104,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.workerWG.Wait()
-		s.bgWG.Wait()
 		// The watchdog outlives the workers (a kill needs a live worker to
 		// observe it) and stops only once they are gone. The brownout
 		// controller follows the same discipline — its last evaluations

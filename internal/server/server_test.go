@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -397,66 +396,6 @@ func TestBreakerTripsSkipsAndRecovers(t *testing.T) {
 	// And the recovered stage keeps serving.
 	if resp := submit(); resp.Winner != telamalloc.StageSearch {
 		t.Fatalf("post-recovery winner %s, want search", resp.Winner)
-	}
-}
-
-// TestHedgeDeterminism is the acceptance contract: for fixed requests the
-// canonical response bytes are identical with hedging on and off, across
-// repeats.
-func TestHedgeDeterminism(t *testing.T) {
-	problems := []Problem{easyProblem(), tightProblem(t), infeasibleProblem()}
-	collect := func(hedge bool) [][]byte {
-		s := New(Config{Workers: 2, Hedge: hedge})
-		defer mustDrain(t, s)
-		var out [][]byte
-		for _, p := range problems {
-			for rep := 0; rep < 3; rep++ {
-				resp, err := s.Submit(context.Background(), Request{Problem: p, MaxSteps: 100000})
-				if err != nil {
-					t.Fatalf("hedge=%v: %v", hedge, err)
-				}
-				out = append(out, resp.CanonicalJSON())
-			}
-		}
-		return out
-	}
-	off := collect(false)
-	on := collect(true)
-	for i := range off {
-		if !bytes.Equal(off[i], on[i]) {
-			t.Errorf("request %d differs:\n hedge off: %s\n hedge on:  %s", i, off[i], on[i])
-		}
-	}
-}
-
-// TestHedgeWinsOnEasyProblem: with the ladder parked at its entry point,
-// the hedge serves the easy problem alone — first valid answer wins.
-func TestHedgeWinsOnEasyProblem(t *testing.T) {
-	stall := faultinject.New(faultinject.Fault{
-		Point: faultinject.StageEntry(telamalloc.StageGreedy), After: 1,
-		Kind: faultinject.Stall, StallFor: 200 * time.Millisecond,
-	})
-	s := New(Config{Workers: 1, Hedge: true, Hook: stall.Hook})
-	p := easyProblem()
-	start := time.Now()
-	resp, err := s.Submit(context.Background(), Request{Problem: p})
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if !resp.HedgeWon || resp.Winner != telamalloc.StageGreedy {
-		t.Fatalf("hedgeWon=%v winner=%s, want a greedy hedge win", resp.HedgeWon, resp.Winner)
-	}
-	if elapsed > 150*time.Millisecond {
-		t.Errorf("hedged response took %v despite a 200ms ladder stall", elapsed)
-	}
-	sol := telamalloc.Solution{Offsets: resp.Offsets}
-	if verr := sol.Validate(p); verr != nil {
-		t.Fatalf("hedge packing invalid: %v", verr)
-	}
-	mustDrain(t, s)
-	if c := s.Snapshot(); c.HedgeWins != 1 {
-		t.Errorf("counters %+v, want 1 hedge win", c)
 	}
 }
 

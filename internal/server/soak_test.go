@@ -65,12 +65,13 @@ func classify(t *testing.T, resp *Response, err error) terminalClass {
 
 // TestServerSoakUnderFaults drives concurrent clients through a server with
 // faults armed at every new boundary: solver decision points, pipeline
-// stage entry/exit, and the server's own admit/dequeue/hedge points.
+// stage entry/exit, and the server's own admit/dequeue points.
 func TestServerSoakUnderFaults(t *testing.T) {
 	inj := faultinject.New(
-		faultinject.Fault{Point: faultinject.StageEntry(telamalloc.StageSearch), After: 2, Kind: faultinject.Panic},
-		faultinject.Fault{Point: faultinject.StageExit(telamalloc.StageGreedy), After: 4, Kind: faultinject.Panic},
-		faultinject.Fault{Point: faultinject.PointServerHedge, After: 3, Kind: faultinject.Panic},
+		// The stage faults fire on the first cold solves: the cache and
+		// dedup answer every later repeat without reaching the ladder.
+		faultinject.Fault{Point: faultinject.StageEntry(telamalloc.StageSearch), After: 1, Kind: faultinject.Panic},
+		faultinject.Fault{Point: faultinject.StageExit(telamalloc.StageGreedy), After: 2, Kind: faultinject.Panic},
 		// Not Starve here: admit starvation is sticky and would shed the
 		// whole remaining workload (covered by TestAdmitStarveForcesShed).
 		faultinject.Fault{Point: faultinject.PointServerAdmit, After: 7, Kind: faultinject.Panic},
@@ -81,7 +82,6 @@ func TestServerSoakUnderFaults(t *testing.T) {
 	s := New(Config{
 		Workers:        4,
 		QueueDepth:     8,
-		Hedge:          true,
 		RequestTimeout: 5 * time.Second,
 		MaxSteps:       200000,
 		Breaker:        BreakerConfig{Threshold: 3, Cooldown: 50 * time.Millisecond},

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,17 +26,29 @@ func wedgeProblem() Problem {
 // the stage that was wedged must be charged to its breaker.
 func TestWatchdogKillIsTypedAndFeedsBreaker(t *testing.T) {
 	inj := faultinject.New(
-		// Force-kill everything on the first scan...
-		faultinject.Fault{Point: faultinject.PointServerWatchdog, Kind: faultinject.Starve},
-		// ...while the solve is wedged, non-cooperatively, inside search.
+		// Wedge the solve, non-cooperatively, inside search...
 		faultinject.Fault{Point: "group0", Kind: faultinject.Stall, StallFor: 300 * time.Millisecond},
 	)
+	var inSearch atomic.Bool
+	hook := func(point string) bool {
+		if point == faultinject.PointServerWatchdog {
+			// ...and force-kill everything on every scan from then on.
+			// Keying the kill to the wedge rather than to the first scan
+			// keeps a slow build (-race) from killing the job before it
+			// reaches search.
+			return inSearch.Load()
+		}
+		if point == "group0" {
+			inSearch.Store(true)
+		}
+		return inj.Hook(point)
+	}
 	srv := New(Config{
 		Workers:    1,
 		QueueDepth: 4,
 		Watchdog:   WatchdogConfig{BudgetMultiple: 2, Interval: 2 * time.Millisecond},
 		Breaker:    BreakerConfig{Threshold: 1, Cooldown: time.Hour},
-		Hook:       inj.Hook,
+		Hook:       hook,
 	})
 	defer srv.Close()
 

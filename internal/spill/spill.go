@@ -21,7 +21,6 @@ import (
 	"telamalloc/internal/buffers"
 	"telamalloc/internal/core"
 	"telamalloc/internal/heuristics"
-	"telamalloc/internal/portfolio"
 )
 
 // ErrCannotFit is returned when even spilling every eligible buffer leaves
@@ -44,8 +43,8 @@ type Request struct {
 	// MaxSpills caps evictions (0 = no cap).
 	MaxSpills int
 	// Ctx, when non-nil, cancels planning: it is checked before every
-	// allocation attempt, and allocators implementing
-	// portfolio.ContextAllocator observe it mid-solve too.
+	// allocation attempt, and allocators with an AllocateContext method
+	// (core.Allocator) observe it mid-solve too.
 	Ctx context.Context
 }
 
@@ -57,6 +56,11 @@ var ErrCancelled = errors.New("spill: planning cancelled")
 // allocator would fail every retained set, and evicting buffers to work
 // around it would misreport an internal failure as a capacity problem.
 var ErrAllocatorPanic = errors.New("spill: allocator panicked")
+
+// contextAllocator is an allocator that can observe cancellation mid-solve.
+type contextAllocator interface {
+	AllocateContext(ctx context.Context, p *buffers.Problem) (*buffers.Solution, error)
+}
 
 // Plan is the result of planning.
 type Plan struct {
@@ -137,7 +141,7 @@ func allocate(req Request, sub *buffers.Problem) (sol *buffers.Solution, err err
 			sol, err = nil, fmt.Errorf("%w: %v", ErrAllocatorPanic, r)
 		}
 	}()
-	if cm, ok := req.Allocator.(portfolio.ContextAllocator); ok && req.Ctx != nil {
+	if cm, ok := req.Allocator.(contextAllocator); ok && req.Ctx != nil {
 		return cm.AllocateContext(req.Ctx, sub)
 	}
 	return req.Allocator.Allocate(sub)

@@ -63,18 +63,21 @@ type Response struct {
 	LowerBound       int64    `json:"lower_bound,omitempty"`
 	Memory           int64    `json:"memory,omitempty"`
 	SkippedByBreaker []string `json:"skipped_by_breaker,omitempty"`
-	HedgeWon         bool     `json:"hedge_won,omitempty"`
-	CacheHit         bool     `json:"cache_hit,omitempty"`
-	Deduped          bool     `json:"deduped,omitempty"`
-	HintReplayed     bool     `json:"hint_replayed,omitempty"`
-	QueueWaitMS      float64  `json:"queue_wait_ms,omitempty"`
-	ElapsedMS        float64  `json:"elapsed_ms,omitempty"`
-	RetryAfterMS     float64  `json:"retry_after_ms,omitempty"`
+	// HedgeWon is always false, so the field never appears on the wire.
+	// The server no longer races a hedge; the field stays so v1 decoders
+	// that know it keep working.
+	HedgeWon     bool    `json:"hedge_won,omitempty"`
+	CacheHit     bool    `json:"cache_hit,omitempty"`
+	Deduped      bool    `json:"deduped,omitempty"`
+	HintReplayed bool    `json:"hint_replayed,omitempty"`
+	QueueWaitMS  float64 `json:"queue_wait_ms,omitempty"`
+	ElapsedMS    float64 `json:"elapsed_ms,omitempty"`
+	RetryAfterMS float64 `json:"retry_after_ms,omitempty"`
 	// DegradedByBrownout marks a verdict produced while the server's
-	// brownout controller had the ladder degraded (shrunk step pots,
-	// hedging off, or search skipped). The answer is still valid — the
-	// marker tells the client it was bought at reduced quality so
-	// latency-sensitive callers can decide to re-ask later.
+	// brownout controller had the ladder degraded (shrunk step pots or
+	// search skipped). The answer is still valid — the marker tells the
+	// client it was bought at reduced quality so latency-sensitive callers
+	// can decide to re-ask later.
 	DegradedByBrownout bool   `json:"degraded_by_brownout,omitempty"`
 	Error              string `json:"error,omitempty"`
 }

@@ -507,6 +507,9 @@ func (lr *ladderRun) execute(stage string, steps int64, deadline time.Time) (*bu
 		}
 	case StageSpill:
 		cfg := lr.searchConfig(steps, deadline)
+		// The planner hands Request.Ctx to every packing attempt; leaving
+		// it on the config as well would poll the same context twice.
+		cfg.Ctx = nil
 		req := spill.Request{
 			Problem:   lr.q,
 			Weights:   lr.c.pipe.weights,

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"telamalloc/internal/buffers"
+	"telamalloc/internal/cache"
 	"telamalloc/internal/core"
 	"telamalloc/internal/heuristics"
 	"telamalloc/internal/ilp"
@@ -81,12 +82,13 @@ var (
 	ErrNoSolution = errors.New("telamalloc: no feasible packing found")
 	// ErrBudget means the step budget or timeout expired first.
 	ErrBudget = errors.New("telamalloc: allocation budget exhausted")
-	// ErrCancelled means the WithCancel hook aborted the allocation.
+	// ErrCancelled means the allocation was cancelled: the call context or
+	// a WithContext context was done, or the WithCancel hook returned true.
 	ErrCancelled = errors.New("telamalloc: allocation cancelled")
 	// ErrInvalidProblem flags structurally invalid input.
 	ErrInvalidProblem = errors.New("telamalloc: invalid problem")
 	// ErrInternal means a component panicked — a search worker, a learned
-	// policy hook, or a portfolio member — and the panic was contained at
+	// policy hook, or a pipeline stage — and the panic was contained at
 	// the allocator boundary instead of crashing the process. The wrapped
 	// message attributes the failing component. An ErrInternal result says
 	// nothing about the problem's feasibility.
@@ -122,14 +124,16 @@ func allocateWith(cfg config, p Problem) (Solution, Stats, error) {
 	if err := q.Validate(); err != nil {
 		return Solution{}, Stats{}, fmt.Errorf("%w: %v", ErrInvalidProblem, err)
 	}
-	res := core.Solve(q, cfg.finalize(q))
-	st := Stats{
-		Steps:           res.Stats.Steps,
-		Placements:      res.Stats.Placements,
-		MinorBacktracks: res.Stats.MinorBacktracks,
-		MajorBacktracks: res.Stats.MajorBacktracks,
-		Subproblems:     res.Subproblems,
+	if cfg.hint != nil {
+		// Same warm start as the pipeline's: a trace that replays onto q
+		// and validates is the answer, with no search at all.
+		fp, perm := cache.Canonicalize(q)
+		if sol := replayTrace(cfg.hint, q, fp, perm); sol != nil {
+			return Solution{Offsets: sol.Offsets}, Stats{}, nil
+		}
 	}
+	res := core.Solve(q, cfg.finalize(q))
+	st := statsFrom(res)
 	switch res.Status {
 	case telamon.Solved:
 		return Solution{Offsets: res.Solution.Offsets}, st, nil
