@@ -435,10 +435,23 @@ func (c *Client) attempt(ctx context.Context, req Request, id string) (resp *Rep
 		return nil, 0, &AmbiguousError{ID: id, Cause: werr}
 	}
 
+	return awaitReply(ctx, cn, ch, id)
+}
+
+// awaitReply waits for the report to a fully written request.
+func awaitReply(ctx context.Context, cn *netConn, ch <-chan wire.Response, id string) (*Report, time.Duration, error) {
 	select {
 	case r := <-ch:
 		return classify(&r)
 	case <-cn.broken:
+		// readLoop delivers a reply before it latches the connection
+		// broken, and select picks at random among ready cases: a reply
+		// that beat the close is the answer, not an ambiguity.
+		select {
+		case r := <-ch:
+			return classify(&r)
+		default:
+		}
 		// Fully written, reply never arrived: the defining ambiguous case.
 		return nil, 0, &AmbiguousError{ID: id, Cause: cn.err}
 	case <-ctx.Done():

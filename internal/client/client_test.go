@@ -224,6 +224,23 @@ func TestAmbiguousOnConnDropAfterWrite(t *testing.T) {
 	}
 }
 
+// A reply the read loop delivered just before latching the connection
+// broken must win over the latch: both cases are ready at once, so without
+// a second look at the reply channel select would pick the latch about
+// half the time and report an answered request as ambiguous.
+func TestDeliveredReplyBeatsBrokenLatch(t *testing.T) {
+	for i := 0; i < 64; i++ {
+		cn := &netConn{broken: make(chan struct{}), err: errors.New("closed by daemon")}
+		close(cn.broken)
+		ch := make(chan wire.Response, 1)
+		ch <- wire.Response{V: wire.Version, ID: "r", Outcome: wire.OutcomeSolved}
+		rep, _, err := awaitReply(context.Background(), cn, ch, "r")
+		if err != nil || rep == nil || rep.ID != "r" {
+			t.Fatalf("round %d: report %+v, err %v; want the delivered reply", i, rep, err)
+		}
+	}
+}
+
 // After the daemon restarts, the next Submit must transparently reconnect.
 func TestReconnectAfterRestart(t *testing.T) {
 	f := newFake(t)

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"telamalloc/internal/buffers"
 	"telamalloc/internal/core"
@@ -46,10 +47,19 @@ type Request struct {
 	// allocation attempt, and allocators with an AllocateContext method
 	// (core.Allocator) observe it mid-solve too.
 	Ctx context.Context
+	// Deadline, when non-zero, bounds planning in wall time: it is checked
+	// before every allocation attempt. Past it an attempt can only fail on
+	// the clock, and reading that as "does not fit" would evict buffers the
+	// allocator never had the time to place.
+	Deadline time.Time
 }
 
 // ErrCancelled is returned when Request.Ctx is done before a plan is found.
 var ErrCancelled = errors.New("spill: planning cancelled")
+
+// ErrDeadline is returned when Request.Deadline passes before a plan is
+// found.
+var ErrDeadline = errors.New("spill: planning deadline exceeded")
 
 // ErrAllocatorPanic is wrapped when the packing allocator panics during
 // planning. The panic is contained, but planning aborts: a crashing
@@ -104,6 +114,9 @@ func Make(req Request) (*Plan, error) {
 	for {
 		if req.Ctx != nil && req.Ctx.Err() != nil {
 			return nil, fmt.Errorf("%w after %d attempts: %v", ErrCancelled, plan.Attempts, req.Ctx.Err())
+		}
+		if !req.Deadline.IsZero() && !time.Now().Before(req.Deadline) {
+			return nil, fmt.Errorf("%w after %d attempts", ErrDeadline, plan.Attempts)
 		}
 		sub, back := subset(p, retained)
 		plan.Attempts++

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"telamalloc/internal/buffers"
 	"telamalloc/internal/core"
@@ -124,6 +125,40 @@ func TestMaxSpillsCap(t *testing.T) {
 	}
 	if len(plan.Spilled) != 5 {
 		t.Errorf("Spilled = %v, want 5 evictions", plan.Spilled)
+	}
+}
+
+// countingAllocator records how many packing attempts the planner made.
+type countingAllocator struct {
+	heuristics.Allocator
+	calls *int
+}
+
+func (c countingAllocator) Allocate(p *buffers.Problem) (*buffers.Solution, error) {
+	*c.calls++
+	return c.Allocator.Allocate(p)
+}
+
+func TestPastDeadlineStopsBeforeAnyAttempt(t *testing.T) {
+	// Overfull by one buffer: with time left the planner evicts once; with
+	// the deadline already gone it must not attempt, evict, or plan.
+	p := &buffers.Problem{Memory: 8}
+	for i := 0; i < 3; i++ {
+		p.Buffers = append(p.Buffers, buffers.Buffer{Start: 0, End: 5, Size: 4})
+	}
+	p.Normalize()
+	var calls int
+	alloc := countingAllocator{Allocator: tmAlloc(), calls: &calls}
+	plan, err := Make(Request{Problem: p, Allocator: alloc, Deadline: time.Now().Add(-time.Millisecond)})
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("err = %v, want ErrDeadline", err)
+	}
+	if plan != nil || calls != 0 {
+		t.Errorf("plan %+v after %d attempts, want none", plan, calls)
+	}
+	plan, err = Make(Request{Problem: p, Allocator: alloc, Deadline: time.Now().Add(time.Minute)})
+	if err != nil || len(plan.Spilled) != 1 {
+		t.Fatalf("future deadline: plan %+v, err %v; want one eviction", plan, err)
 	}
 }
 

@@ -126,9 +126,10 @@ const (
 	// CodeShuttingDown closes a connection because the daemon is
 	// draining. Retryable against the restarted daemon.
 	CodeShuttingDown = "shutting_down"
-	// CodeWatchdogKilled fails a request whose solve overran the watchdog
-	// budget multiple and was force-cancelled. Retrying the same request
-	// with the same budget will likely overrun again.
+	// CodeWatchdogKilled is reserved and never sent. The daemon no longer
+	// runs a solve watchdog: a request that overruns its budget fails with
+	// the budget verdict instead. The code stays so v1 clients that match
+	// on it keep compiling, and it stays non-retryable.
 	CodeWatchdogKilled = "watchdog_killed"
 	// CodeDeadlineExceededInQueue fails a request whose budget expired
 	// while it was still queued — no solver step was spent on it. Not

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"telamalloc/internal/buffers"
 	"telamalloc/internal/faultinject"
@@ -338,5 +339,29 @@ func TestPipelineStageShares(t *testing.T) {
 func TestPipelineInvalidProblem(t *testing.T) {
 	if _, err := AllocatePipeline(Problem{Memory: 0}); !errors.Is(err, ErrInvalidProblem) {
 		t.Errorf("err %v, want ErrInvalidProblem", err)
+	}
+}
+
+// TestPipelineSpillStopsAtDeadline pins the spill stage to its carved wall
+// deadline. Once the clock runs out every packing attempt fails with a
+// budget verdict; reading those as "does not fit" would evict every buffer
+// and hand back a degraded plan bought with no real search. The ladder must
+// end in either a genuine win or ErrBudget.
+func TestPipelineSpillStopsAtDeadline(t *testing.T) {
+	q := workload.GenImageModel1(1)
+	q.Memory = buffers.Contention(q).Peak()
+	p := fromInternal(q)
+	res, err := AllocatePipeline(p, WithMaxSteps(50000), WithTimeout(5*time.Millisecond))
+	if err != nil {
+		if !errors.Is(err, ErrBudget) {
+			t.Fatalf("err %v, want nil or ErrBudget", err)
+		}
+		if res.Spill != nil {
+			t.Fatalf("failed run carries a spill plan: %+v", res.Spill)
+		}
+		return
+	}
+	if res.Spill != nil && len(res.Spill.Spilled) == len(p.Buffers) {
+		t.Fatalf("winner %s evicted all %d buffers after the deadline", res.Winner, len(p.Buffers))
 	}
 }
