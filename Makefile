@@ -104,12 +104,11 @@ faultrace:
 ## detector — a sustained mixed-class, mixed-tenant flood against a slowed
 ## server: exactly one terminal outcome per request, no solver steps on
 ## expired-in-queue jobs, interactive latency bounded and never shed by
-## batch/background floods, the counter ledger balanced, and the brownout
-## controller both engaging and disengaging with hysteresis. Plus the
-## no-overload byte-identity check and the deadline/tenant/brownout unit
-## suites. See DESIGN.md §14.
+## batch/background floods, and the counter ledger balanced. Plus the
+## no-overload byte-identity check and the deadline/tenant unit suites. See
+## DESIGN.md §14.
 overloadsoak:
-	$(GO) test -race -count=1 -run 'TestOverloadSoak|Priority|ClassQueue|BatchFlood|RetryAfterMonotonic|Expire|Tenant|Brownout|NoOverloadByte' ./internal/server ./cmd/telamallocd ./internal/wire
+	$(GO) test -race -count=1 -run 'TestOverloadSoak|Priority|ClassQueue|BatchFlood|RetryAfterMonotonic|Expire|Tenant|NoOverloadByte' ./internal/server ./cmd/telamallocd ./internal/wire
 
 ## fuzz: short native-fuzzing smoke of the public entry points — no input
 ## may panic, nil error implies a valid packing, every error wraps exactly
@@ -126,9 +125,9 @@ fuzz:
 
 ## diffsoak: the differential verification soak under the race detector —
 ## a client fleet and a bare Allocator solve the same seeded adversarial
-## stream, and every served response (cache-hit, deduped, or with the
-## brownout controller armed but idle) must be byte-identical to the
-## direct run and accepted by the independent checker; plus the oracle
+## stream, and every served response (cold, cache-hit or deduped) must be
+## byte-identical to the direct run and accepted by the independent
+## checker; plus the oracle
 ## sweep: the heuristic ladder must never claim a packing on an instance
 ## the exact solver proves infeasible. See DESIGN.md §15.
 diffsoak:

@@ -41,11 +41,9 @@
 // (DESIGN.md §14): per-class queue lanes with strict-priority dequeue
 // (-class-depth), per-tenant token buckets and in-flight shares
 // (-tenant-rps, -tenant-burst, -tenant-share; sheds carry error_code
-// "tenant_overloaded"), eviction of requests whose budget expired in queue
-// (error_code "deadline_exceeded_in_queue" — no solver step is spent on
-// dead work), and a brownout controller (-brownout-target) that trades
-// answer quality for latency with hysteresis; responses produced under a
-// degraded ladder carry "degraded_by_brownout":true.
+// "tenant_overloaded"), and eviction of requests whose budget expired in
+// queue (error_code "deadline_exceeded_in_queue" — no solver step is spent
+// on dead work).
 //
 // With -metrics-addr the daemon serves its observability surface over HTTP:
 // Prometheus metrics at /metrics, liveness at /healthz, readiness at
@@ -125,8 +123,6 @@ func main() {
 		tenantRPS    = flag.Float64("tenant-rps", 0, "per-tenant sustained admission rate in requests/second (0 = no rate limit)")
 		tenantBurst  = flag.Int("tenant-burst", 0, "per-tenant token-bucket burst (0 = ceil of -tenant-rps)")
 		tenantShare  = flag.Float64("tenant-share", 0, "max fraction of server capacity one tenant may hold in flight (0 or >=1 = off)")
-		brownTarget  = flag.Duration("brownout-target", 0, "queue-wait p90 the brownout controller defends; under sustained pressure it degrades the ladder and recovers with hysteresis (0 = off)")
-		brownIntv    = flag.Duration("brownout-interval", 0, "brownout controller evaluation cadence (0 = 100ms default)")
 		metricsAddr  = flag.String("metrics-addr", "", "HTTP address for /metrics, /healthz, /readyz, /debug/vars and /debug/pprof/ (empty = off)")
 		traceFile    = flag.String("trace-file", "", "append request lifecycle spans to this file as JSON Lines (empty = off)")
 		quiet        = flag.Bool("q", false, "suppress the counters summary on shutdown")
@@ -197,10 +193,6 @@ func main() {
 			Burst:    *tenantBurst,
 			MaxShare: *tenantShare,
 		},
-		Brownout: server.BrownoutConfig{
-			Target:   *brownTarget,
-			Interval: *brownIntv,
-		},
 		Tracer: tracer,
 	})
 
@@ -229,14 +221,13 @@ func main() {
 	if !*quiet {
 		c := srv.Snapshot()
 		fmt.Fprintf(os.Stderr,
-			"telamallocd: submitted %d admitted %d shed %d rejected %d | solved %d degraded %d failed %d cancelled %d | breaker trips/probes/recoveries %d/%d/%d | cache hits/misses/near %d/%d/%d len %d | dedup-shared %d hint-replays %d | expired dequeue/evict %d/%d tenant-shed %d | brownout degrades/recovers %d/%d marked %d\n",
+			"telamallocd: submitted %d admitted %d shed %d rejected %d | solved %d degraded %d failed %d cancelled %d | breaker trips/probes/recoveries %d/%d/%d | cache hits/misses/near %d/%d/%d len %d | dedup-shared %d hint-replays %d | expired dequeue/evict %d/%d tenant-shed %d\n",
 			c.Submitted, c.Admitted, c.Shed, c.RejectedDraining,
 			c.Solved, c.Degraded, c.Failed, c.Cancelled,
 			c.BreakerTrips, c.BreakerProbes, c.BreakerRecoveries,
 			c.CacheHits, c.CacheMisses, c.CacheNearHits, c.CacheLen,
 			c.DedupShared, c.HintReplays,
-			c.ExpiredInQueue, c.ExpiredEvicted, c.TenantShed,
-			c.BrownoutDegrades, c.BrownoutRecovers, c.BrownoutDegraded)
+			c.ExpiredInQueue, c.ExpiredEvicted, c.TenantShed)
 	}
 	os.Exit(code)
 }
@@ -428,7 +419,6 @@ func handle(srv *server.Server, wreq wireRequest) wireResponse {
 		out.CacheHit = resp.CacheHit
 		out.Deduped = resp.Deduped
 		out.HintReplayed = resp.HintReplayed
-		out.DegradedByBrownout = resp.DegradedByBrownout
 		out.QueueWaitMS = float64(resp.QueueWait.Microseconds()) / 1e3
 		out.ElapsedMS = float64(resp.Elapsed.Microseconds()) / 1e3
 		out.Error = resp.Err

@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +16,35 @@ import (
 
 	"telamalloc/internal/server"
 )
+
+// TestRemovedFlagsExitOne runs the daemon's main in a child process with
+// flags of removed mechanisms (the brownout controller, the solve
+// watchdog): each is a usage error and must exit 1, not start a daemon
+// that silently ignores it.
+func TestRemovedFlagsExitOne(t *testing.T) {
+	if args := os.Getenv("TELAMALLOCD_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"telamallocd"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, args := range []string{
+		"-brownout-target 50ms",
+		"-brownout-interval 100ms",
+		"-watchdog-multiple 2",
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedFlagsExitOne$")
+		cmd.Env = append(os.Environ(), "TELAMALLOCD_MAIN_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("telamallocd %s: err %v, want exit status 1\n%s", args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), "flag provided but not defined") {
+			t.Errorf("telamallocd %s: no usage error in output:\n%s", args, out)
+		}
+	}
+}
 
 // decodeReports parses every line serveStream wrote and indexes them by id.
 func decodeReports(t *testing.T, out *bytes.Buffer) map[string]wireResponse {

@@ -180,6 +180,10 @@ func solve(p *buffers.Problem, cfg Config) Result {
 // experiment harness can treat every strategy uniformly.
 type Allocator struct {
 	Config Config
+	// Tally, when non-nil, receives every solve's Result, so a caller that
+	// runs the allocator many times (spill planning) can account the
+	// effort it spent.
+	Tally func(Result)
 }
 
 // Name implements heuristics.Allocator.
@@ -205,6 +209,9 @@ func (a Allocator) AllocateContext(ctx context.Context, p *buffers.Problem) (*bu
 		cfg.Ctx = ctx
 	}
 	res := Solve(p, cfg)
+	if a.Tally != nil {
+		a.Tally(res)
+	}
 	if res.Err != nil {
 		return nil, res.Err
 	}

@@ -45,13 +45,6 @@ const (
 	PointServerDequeue = "server:dequeue"
 	// PointServerDrain fires once when a drain begins.
 	PointServerDrain = "server:drain"
-	// PointServerBrownout fires on every brownout-controller evaluation
-	// tick, before queue-wait pressure is compared against the target. A
-	// starve makes that tick observe saturated pressure regardless of the
-	// real p90 — the deterministic way to force the ladder down a level
-	// without generating real load; a panic must be contained by the
-	// brownout loop.
-	PointServerBrownout = "server:brownout"
 	// PointServerExpire fires when the server starts an eager expiry sweep
 	// over the queue (a push found a class full). A starve makes the sweep
 	// treat every deadline-carrying queued job as already expired — the

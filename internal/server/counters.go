@@ -25,9 +25,6 @@ type counters struct {
 	expiredDequeued  atomic.Int64
 	expiredEvicted   atomic.Int64
 	tenantShed       atomic.Int64
-	brownoutDegrades atomic.Int64
-	brownoutRecovers atomic.Int64
-	brownoutMarked   atomic.Int64
 }
 
 // Counters is a point-in-time snapshot of the service counters.
@@ -75,12 +72,6 @@ type Counters struct {
 	// TenantShed counts sheds decided by per-tenant limits (token bucket
 	// or in-flight share). Each is also counted under Shed.
 	TenantShed int64
-	// BrownoutDegrades / BrownoutRecovers count brownout-ladder level
-	// transitions (down and up). BrownoutDegraded counts responses
-	// delivered with the DegradedByBrownout marker set.
-	BrownoutDegrades int64
-	BrownoutRecovers int64
-	BrownoutDegraded int64
 	// CacheHits / CacheMisses count solution-cache lookups; CacheNearHits
 	// counts shape-only matches that seeded a hint. CacheInsertions -
 	// CacheEvictions == CacheLen while the server lives. All zero when the
@@ -116,9 +107,6 @@ func (s *Server) Snapshot() Counters {
 		ExpiredInQueue:    c.expiredDequeued.Load(),
 		ExpiredEvicted:    c.expiredEvicted.Load(),
 		TenantShed:        c.tenantShed.Load(),
-		BrownoutDegrades:  c.brownoutDegrades.Load(),
-		BrownoutRecovers:  c.brownoutRecovers.Load(),
-		BrownoutDegraded:  c.brownoutMarked.Load(),
 	}
 	if s.cache != nil {
 		cc := s.cache.Counters()

@@ -36,10 +36,6 @@ const (
 	metricClassDepth = "telamalloc_server_class_queue_depth"
 	metricExpired    = "telamalloc_server_expired_in_queue_total"
 	metricTenantShed = "telamalloc_server_tenant_shed_total"
-
-	metricBrownoutLevel       = "telamalloc_brownout_level"
-	metricBrownoutTransitions = "telamalloc_brownout_transitions_total"
-	metricBrownoutDegraded    = "telamalloc_brownout_degraded_total"
 )
 
 // serverMetrics holds the stateful series the serve path observes into;
@@ -118,20 +114,6 @@ func (s *Server) bindMetrics() {
 			obs.Label{Key: "point", Value: e.label})
 	}
 	r.CounterFunc(metricTenantShed, "requests shed by per-tenant limits", c.tenantShed.Load)
-
-	r.GaugeFunc(metricBrownoutLevel, "current brownout ladder level (0 = full service)",
-		func() int64 { return int64(s.brown.currentLevel()) })
-	for _, e := range []struct {
-		label string
-		fn    func() int64
-	}{
-		{"degrade", c.brownoutDegrades.Load},
-		{"recover", c.brownoutRecovers.Load},
-	} {
-		r.CounterFunc(metricBrownoutTransitions, "brownout ladder level transitions", e.fn,
-			obs.Label{Key: "direction", Value: e.label})
-	}
-	r.CounterFunc(metricBrownoutDegraded, "responses delivered with the degraded-by-brownout marker", c.brownoutMarked.Load)
 
 	for _, e := range []struct {
 		label string

@@ -2,9 +2,8 @@ package server
 
 // Tests for the overload-control layer (DESIGN.md §14): priority classes
 // with per-class bounds, deadline-aware queueing (typed expiry at dequeue
-// and eager eviction), per-tenant fair shedding, the brownout controller's
-// hysteresis, and the sustained-overload acceptance soak (`make
-// overloadsoak`, under -race).
+// and eager eviction), per-tenant fair shedding, and the sustained-overload
+// acceptance soak (`make overloadsoak`, under -race).
 
 import (
 	"context"
@@ -536,180 +535,6 @@ func TestTenantStarvePointForcesShed(t *testing.T) {
 	}
 }
 
-// --- Brownout controller --------------------------------------------------
-
-// TestBrownoutHysteresis drives the controller directly with a manual
-// clock: degradation needs StepUpAfter consecutive hot windows, recovery
-// needs StepDownAfter consecutive cool ones, and the deadband in between
-// resets both streaks.
-func TestBrownoutHysteresis(t *testing.T) {
-	b := newBrownout(BrownoutConfig{
-		Target: 10 * time.Millisecond, StepUpAfter: 3, StepDownAfter: 2, LowWater: 0.5,
-	})
-	now := time.Now()
-	tick := func(wait time.Duration) bool {
-		if wait >= 0 {
-			b.observe(wait)
-		}
-		_, changed := b.evaluate(now, false)
-		return changed
-	}
-
-	hot := 50 * time.Millisecond  // above target
-	warm := 7 * time.Millisecond  // deadband: between low-water (5ms) and target
-	cool := 1 * time.Millisecond  // below low-water
-
-	// Two hot windows are not enough; the third degrades.
-	if tick(hot) || tick(hot) {
-		t.Fatal("degraded before StepUpAfter consecutive hot windows")
-	}
-	if !tick(hot) || b.currentLevel() != 1 {
-		t.Fatalf("third hot window must degrade to level 1, at %d", b.currentLevel())
-	}
-
-	// A deadband window resets the hot streak: two more hot windows still
-	// don't degrade further; it takes three again.
-	tick(hot)
-	tick(hot)
-	if tick(warm) {
-		t.Fatal("deadband window must not transition")
-	}
-	if tick(hot) || tick(hot) {
-		t.Fatal("hot streak must restart after a deadband window")
-	}
-	if !tick(hot) || b.currentLevel() != 2 {
-		t.Fatalf("want level 2, at %d", b.currentLevel())
-	}
-
-	// Recovery: one cool window is not enough; the second steps down. An
-	// empty window (idle server) counts as cool too.
-	if tick(cool) {
-		t.Fatal("recovered before StepDownAfter consecutive cool windows")
-	}
-	if !tick(-1) || b.currentLevel() != 1 {
-		t.Fatalf("second cool (empty) window must recover to level 1, at %d", b.currentLevel())
-	}
-	if tick(cool) {
-		t.Fatal("cool streak must reset after a transition")
-	}
-	if !tick(cool) || b.currentLevel() != 0 {
-		t.Fatalf("want full recovery to level 0, at %d", b.currentLevel())
-	}
-	// At the floor, cool windows do nothing.
-	if tick(cool) || tick(cool) || b.currentLevel() != 0 {
-		t.Fatal("level must not drop below 0")
-	}
-
-	// The ladder tops out at brownoutMaxLevel.
-	for i := 0; i < 20; i++ {
-		tick(hot)
-	}
-	if b.currentLevel() != brownoutMaxLevel {
-		t.Fatalf("level = %d, want cap %d", b.currentLevel(), brownoutMaxLevel)
-	}
-}
-
-// TestBrownoutLadderApplication pins what each level does to a request:
-// level 3 drops search for batch (degraded answer, marked) but never for
-// interactive; level 1 shrinks the step pot (marked even when still
-// solved); level 0 marks nothing.
-func TestBrownoutLadderApplication(t *testing.T) {
-	s := New(Config{
-		Workers: 2, CacheSize: -1, DisableDedup: true,
-		MaxSteps: 400000,
-		Brownout: BrownoutConfig{Target: time.Hour, Interval: time.Hour}, // enabled, never self-triggers
-	})
-	defer mustDrain(t, s)
-	tight := tightProblem(t)
-
-	// Level 0: full service, no markers, the search stage wins.
-	resp, err := s.Submit(context.Background(), Request{Problem: tight})
-	if err != nil || resp.Outcome != OutcomeSolved {
-		t.Fatalf("level 0 tight solve: %+v %v", resp, err)
-	}
-	if resp.Winner != "search" {
-		t.Fatalf("tight problem is meant to need search; winner = %q", resp.Winner)
-	}
-	if resp.DegradedByBrownout {
-		t.Fatal("idle controller must never mark responses")
-	}
-	baseline := string(resp.CanonicalJSON())
-
-	// Level 3, batch: search is dropped from the ladder — some other stage
-	// must settle the request, and the verdict is marked.
-	s.brown.level.Store(brownoutNoSearch)
-	resp, err = s.Submit(context.Background(), Request{Problem: tight, Priority: PriorityBatch})
-	if err != nil {
-		t.Fatalf("level 3 batch tight: %v", err)
-	}
-	if resp.Winner == "search" {
-		t.Fatal("level-3 batch request still ran the search stage")
-	}
-	if !resp.DegradedByBrownout {
-		t.Fatal("level-3 batch verdict must carry the brownout marker")
-	}
-
-	// Level 3, interactive: keeps the full ladder — still solved by search.
-	// (The shrunk pot marks the response; the answer bytes must match the
-	// un-browned solve, since the search found the same packing.)
-	resp, err = s.Submit(context.Background(), Request{Problem: tight, Priority: PriorityInteractive})
-	if err != nil || resp.Outcome != OutcomeSolved {
-		t.Fatalf("level 3 interactive tight: want solved, got %+v %v", resp, err)
-	}
-	if !resp.DegradedByBrownout {
-		t.Fatal("shrunk-pot solve must carry the marker")
-	}
-	if got := string(resp.CanonicalJSON()); got != baseline {
-		t.Fatalf("interactive answer changed under brownout:\n  level0: %s\n  level3: %s", baseline, got)
-	}
-
-	// Back to level 0: markers stop.
-	s.brown.level.Store(brownoutOff)
-	resp, err = s.Submit(context.Background(), Request{Problem: tight})
-	if err != nil || resp.DegradedByBrownout {
-		t.Fatalf("recovered controller still marking: %+v %v", resp, err)
-	}
-	c := s.Snapshot()
-	if c.BrownoutDegraded != 2 {
-		t.Fatalf("BrownoutDegraded = %d, want 2", c.BrownoutDegraded)
-	}
-}
-
-// TestBrownoutTickTransitions exercises the server-side tick path: forced
-// hot ticks (server:brownout starve) degrade, idle ticks recover, and both
-// directions land in the counters.
-func TestBrownoutTickTransitions(t *testing.T) {
-	forceHot := atomic.Bool{}
-	s := New(Config{
-		Workers: 1, CacheSize: -1,
-		Brownout: BrownoutConfig{Target: 10 * time.Millisecond, Interval: time.Hour, StepUpAfter: 2, StepDownAfter: 2},
-		Hook: func(point string) bool {
-			return point == faultinject.PointServerBrownout && forceHot.Load()
-		},
-	})
-	defer mustDrain(t, s)
-
-	forceHot.Store(true)
-	now := time.Now()
-	for i := 0; i < 4 && s.BrownoutLevel() == 0; i++ {
-		s.brownoutTick(now)
-	}
-	if s.BrownoutLevel() == 0 {
-		t.Fatal("forced-hot ticks never degraded")
-	}
-	forceHot.Store(false)
-	for i := 0; i < 20 && s.BrownoutLevel() > 0; i++ {
-		s.brownoutTick(now)
-	}
-	if s.BrownoutLevel() != 0 {
-		t.Fatalf("idle ticks never recovered: level %d", s.BrownoutLevel())
-	}
-	c := s.Snapshot()
-	if c.BrownoutDegrades < 1 || c.BrownoutRecovers < 1 {
-		t.Fatalf("transitions not counted: degrades %d recovers %d", c.BrownoutDegrades, c.BrownoutRecovers)
-	}
-}
-
 // --- No-overload byte identity --------------------------------------------
 
 // TestNoOverloadByteIdentical is the acceptance criterion: with every
@@ -722,7 +547,6 @@ func TestNoOverloadByteIdentical(t *testing.T) {
 		Workers: 2, CacheSize: -1, DisableDedup: true, MaxSteps: 400000,
 		ClassDepth: map[Priority]int{PriorityInteractive: 32, PriorityBackground: 8},
 		Tenant:     TenantConfig{RPS: 1e6, MaxShare: 0.9},
-		Brownout:   BrownoutConfig{Target: time.Hour, Interval: time.Hour},
 	})
 	defer mustDrain(t, featured)
 
@@ -750,13 +574,7 @@ func TestNoOverloadByteIdentical(t *testing.T) {
 			if w, g := string(want.CanonicalJSON()), string(got.CanonicalJSON()); w != g {
 				t.Fatalf("%s/%s: canonical bytes diverged\n plain:    %s\n featured: %s", c.name, prio, w, g)
 			}
-			if got.DegradedByBrownout {
-				t.Fatalf("%s/%s: idle brownout marked a response", c.name, prio)
-			}
 		}
-	}
-	if lvl := featured.BrownoutLevel(); lvl != 0 {
-		t.Fatalf("brownout engaged without overload: level %d", lvl)
 	}
 }
 
@@ -766,8 +584,8 @@ func TestNoOverloadByteIdentical(t *testing.T) {
 // -race): a sustained mixed-class, mixed-tenant flood against a slowed
 // server. It asserts every request reaches exactly one terminal outcome,
 // no solver steps are spent on expired-in-queue jobs, interactive latency
-// stays bounded and interactive is never shed, the counter ledger
-// balances, and the brownout controller both engages and disengages.
+// stays bounded and interactive is never shed, and the counter ledger
+// balances.
 func TestOverloadSoak(t *testing.T) {
 	s := New(Config{
 		Workers:      2,
@@ -783,9 +601,6 @@ func TestOverloadSoak(t *testing.T) {
 			PriorityBackground:  2,
 		},
 		Tenant: TenantConfig{RPS: 200, Burst: 20, MaxShare: 0.5},
-		// Interval one hour: the soak drives ticks manually below, so the
-		// controller's cadence is deterministic relative to the flood.
-		Brownout: BrownoutConfig{Target: 2 * time.Millisecond, Interval: time.Hour, StepUpAfter: 2, StepDownAfter: 2},
 		Hook: func(point string) bool {
 			if point == faultinject.PointServerDequeue {
 				time.Sleep(2 * time.Millisecond) // slow service: queues build
@@ -800,7 +615,6 @@ func TestOverloadSoak(t *testing.T) {
 		budget  time.Duration
 		wait    time.Duration
 		latency time.Duration
-		browned bool
 	}
 	var mu sync.Mutex
 	var outcomes []outcome
@@ -808,28 +622,11 @@ func TestOverloadSoak(t *testing.T) {
 		o := outcome{class: classify(t, resp, err), prio: prio, budget: budget, latency: time.Since(started)}
 		if resp != nil {
 			o.wait = resp.QueueWait
-			o.browned = resp.DegradedByBrownout
 		}
 		mu.Lock()
 		outcomes = append(outcomes, o)
 		mu.Unlock()
 	}
-
-	// Manual brownout ticks while the flood runs.
-	tickStop := make(chan struct{})
-	tickDone := make(chan struct{})
-	go func() {
-		defer close(tickDone)
-		for {
-			select {
-			case <-tickStop:
-				return
-			default:
-				s.brownoutTick(time.Now())
-				time.Sleep(3 * time.Millisecond)
-			}
-		}
-	}()
 
 	var wg sync.WaitGroup
 	launch := func(goroutines, perG int, prio Priority, budget time.Duration, tenant func(g int) string) {
@@ -857,37 +654,12 @@ func TestOverloadSoak(t *testing.T) {
 	})
 	launch(4, 25, PriorityBackground, 10*time.Millisecond, noTenant)
 	wg.Wait()
-	close(tickStop)
-	<-tickDone
-
-	c := s.Snapshot()
-	if c.BrownoutDegrades < 1 {
-		t.Fatalf("brownout never engaged under sustained overload (degrades=0): %+v", c)
-	}
-
-	// Recovery: idle ticks must walk the ladder back to level 0.
-	for i := 0; i < 50 && s.BrownoutLevel() > 0; i++ {
-		s.brownoutTick(time.Now())
-	}
-	if s.BrownoutLevel() != 0 {
-		t.Fatalf("brownout never disengaged: level %d", s.BrownoutLevel())
-	}
-
-	// After recovery, a fresh request is served unmarked with the canonical
-	// full-service bytes.
-	resp, err := s.Submit(context.Background(), Request{Problem: easyProblem()})
-	if err != nil || resp.Outcome != OutcomeSolved || resp.DegradedByBrownout {
-		t.Fatalf("post-recovery solve degraded: %+v %v", resp, err)
-	}
 	mustDrain(t, s)
-	c = s.Snapshot()
-	if c.BrownoutRecovers < 1 {
-		t.Fatalf("recovery transitions not counted: %+v", c)
-	}
+	c := s.Snapshot()
 
 	// Exactly-once: every submission recorded one terminal outcome, and the
 	// ledger balances.
-	wantTotal := 2*40 + 8*25 + 4*25 // the post-recovery probe is not recorded
+	wantTotal := 2*40 + 8*25 + 4*25
 	if len(outcomes) != wantTotal {
 		t.Fatalf("recorded %d outcomes, want %d", len(outcomes), wantTotal)
 	}

@@ -116,8 +116,8 @@ type Request struct {
 	// just not attributable to one request.
 	TraceID string
 	// Priority selects the admission class (DESIGN.md §14): interactive
-	// dequeues first and is never shed by lower-class floods; background
-	// degrades first under brownout. Empty means PriorityBatch. Unknown
+	// dequeues first and is never shed by lower-class floods. Empty means
+	// PriorityBatch. Unknown
 	// values are rejected with ErrBadPriority.
 	Priority Priority
 	// Tenant attributes the request to a fairness domain for per-tenant
@@ -166,13 +166,6 @@ type Response struct {
 	// it back through Request.Hint to warm-start a repeat. Excluded from
 	// CanonicalJSON (it is derived data, not part of the verdict).
 	Trace *telamalloc.DecisionTrace
-	// DegradedByBrownout marks a verdict produced while the brownout
-	// controller had this request's ladder degraded — its step pot was
-	// shrunk or its search stage dropped. The packing is still valid; the
-	// marker says it was bought at reduced quality. Load-dependent, hence
-	// excluded from CanonicalJSON (and never set when the controller is
-	// idle, which is what keeps no-overload responses byte-identical).
-	DegradedByBrownout bool
 }
 
 // canonicalResponse is the deterministic subset of Response: everything a

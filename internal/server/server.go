@@ -73,11 +73,6 @@ type Config struct {
 	// share). Zero value = disabled; limits apply only to requests that
 	// carry a Tenant label.
 	Tenant TenantConfig
-	// Brownout enables the brownout controller: under sustained queue-wait
-	// pressure it steps the service down a degradation ladder (halve step
-	// pots → quarter them → skip search for batch/background) and back up
-	// when pressure clears, with hysteresis. Zero value = disabled.
-	Brownout BrownoutConfig
 	// RequestTimeout is the default per-request wall-clock pot, measured
 	// from Submit (0 = none). Request.Timeout can only shrink it.
 	RequestTimeout time.Duration
@@ -99,7 +94,7 @@ type Config struct {
 	DisableDedup bool
 	// Hook is the test-only fault-injection hook, threaded through the
 	// server's own decision points (server:admit, server:dequeue,
-	// server:drain, server:brownout, server:expire, server:tenant) and into
+	// server:drain, server:expire, server:tenant) and into
 	// the pipeline's stage and solver points. Must be nil in production
 	// configurations.
 	Hook func(point string) bool
@@ -129,7 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	c.Breaker = c.Breaker.withDefaults()
 	c.Tenant = c.Tenant.withDefaults()
-	c.Brownout = c.Brownout.withDefaults()
 	return c
 }
 
@@ -155,7 +149,6 @@ type Server struct {
 	queue *classQueue
 
 	tenants *tenantTable // nil when Config.Tenant is disabled
-	brown   *brownout    // nil when Config.Brownout is disabled
 
 	admitMu  sync.RWMutex // guards draining vs. enqueue (see Submit)
 	draining bool
@@ -172,10 +165,6 @@ type Server struct {
 	metrics  *serverMetrics
 
 	cache *cache.Cache // nil when Config.CacheSize < 0
-
-	bwStop     chan struct{} // brownout controller lifecycle
-	bwStopOnce sync.Once
-	bwDone     chan struct{}
 
 	flightMu sync.Mutex
 	flights  map[string]*flight
@@ -222,8 +211,6 @@ func New(cfg Config) *Server {
 		breakers: make(map[string]*breaker, len(pipelineStages)),
 		latency:  stats.NewEWMA(0.2),
 		flights:  make(map[string]*flight),
-		bwStop:   make(chan struct{}),
-		bwDone:   make(chan struct{}),
 	}
 	if cfg.Tenant.enabled() {
 		capacity := cfg.Workers
@@ -231,9 +218,6 @@ func New(cfg Config) *Server {
 			capacity += b
 		}
 		s.tenants = newTenantTable(cfg.Tenant, capacity)
-	}
-	if cfg.Brownout.enabled() {
-		s.brown = newBrownout(cfg.Brownout)
 	}
 	if cfg.CacheSize > 0 {
 		s.cache = cache.New(cfg.CacheSize)
@@ -246,11 +230,6 @@ func New(cfg Config) *Server {
 	s.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
-	}
-	if s.brown != nil {
-		go s.brownoutLoop()
-	} else {
-		close(s.bwDone)
 	}
 	return s
 }
@@ -724,7 +703,6 @@ func (s *Server) expireJob(j *job, now time.Time) {
 	}
 	wait := now.Sub(j.submitted)
 	s.metrics.queueWait.ObserveDuration(wait.Nanoseconds())
-	s.brown.observe(wait)
 	s.traceEvent(j.req.TraceID, "queue", j.submitted, wait, nil)
 	err := expiredErr(j.budget, wait)
 	resp := &Response{
@@ -780,7 +758,6 @@ func (s *Server) serveJob(j *job) {
 	}
 	wait := time.Since(j.submitted)
 	s.metrics.queueWait.ObserveDuration(wait.Nanoseconds())
-	s.brown.observe(wait)
 	s.traceEvent(j.req.TraceID, "queue", j.submitted, wait, nil)
 	start := time.Now()
 	resp, err := s.runJob(j, wait)
@@ -796,9 +773,6 @@ func (s *Server) serveJob(j *job) {
 	if delivered {
 		if resp != nil && resp.HintReplayed {
 			s.counters.hintReplays.Add(1)
-		}
-		if resp != nil && resp.DegradedByBrownout {
-			s.counters.brownoutMarked.Add(1)
 		}
 		switch {
 		case err == nil && resp.Outcome == OutcomeDegraded:
@@ -824,9 +798,6 @@ func (s *Server) serveJob(j *job) {
 		if resp != nil {
 			if resp.Winner != "" {
 				attrs["winner"] = resp.Winner
-			}
-			if resp.DegradedByBrownout {
-				attrs["degraded_by_brownout"] = true
 			}
 			if len(resp.SkippedByBreaker) > 0 {
 				attrs["skipped_by_breaker"] = resp.SkippedByBreaker
@@ -877,27 +848,7 @@ func (s *Server) runJob(j *job, wait time.Duration) (resp *Response, err error) 
 		}
 	}
 
-	// The brownout level is read once per job: a mid-solve transition
-	// affects the next job, never a running one.
-	level := s.brown.currentLevel()
-	browned := false
-
 	ladder, skipped, decisions := s.admitStages()
-	if level >= brownoutNoSearch && j.class != 0 {
-		// Level 3: drop the expensive search stage for batch/background.
-		// Interactive keeps its full ladder at every brownout level.
-		trimmed := make([]string, 0, len(ladder))
-		for _, st := range ladder {
-			if st == telamalloc.StageSearch {
-				continue
-			}
-			trimmed = append(trimmed, st)
-		}
-		if len(trimmed) > 0 && len(trimmed) < len(ladder) {
-			ladder = trimmed
-			browned = true
-		}
-	}
 	opts := []telamalloc.Option{
 		telamalloc.WithContext(j.ctx),
 		telamalloc.WithParallelism(s.cfg.Parallelism),
@@ -906,19 +857,6 @@ func (s *Server) runJob(j *job, wait time.Duration) (resp *Response, err error) 
 	maxSteps := s.cfg.MaxSteps
 	if j.req.MaxSteps > 0 {
 		maxSteps = j.req.MaxSteps
-	}
-	if level >= brownoutShrinkPots && maxSteps > 0 {
-		// Levels 1+: halve the step pot per level. The request still gets
-		// an answer — greedy and best-fit are step-free — it just buys
-		// less search for it.
-		shrunk := maxSteps >> level
-		if shrunk < 1 {
-			shrunk = 1
-		}
-		if shrunk < maxSteps {
-			maxSteps = shrunk
-			browned = true
-		}
 	}
 	if maxSteps > 0 {
 		opts = append(opts, telamalloc.WithMaxSteps(maxSteps))
@@ -943,13 +881,7 @@ func (s *Server) runJob(j *job, wait time.Duration) (resp *Response, err error) 
 	if errors.Is(perr, telamalloc.ErrCancelled) {
 		return nil, fmt.Errorf("%w: %v", ErrCancelled, perr)
 	}
-	resp = responseFrom(res, perr, skipped)
-	if browned {
-		// The verdict was bought with a degraded ladder (shrunk pot or
-		// dropped search) — mark it.
-		resp.DegradedByBrownout = true
-	}
-	return resp, perr
+	return responseFrom(res, perr, skipped), perr
 }
 
 // responseFrom maps a pipeline result to the service response.
@@ -1056,10 +988,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.workerWG.Wait()
-		// The brownout controller outlives the workers, so its last
-		// evaluations see the final queue waits drain out.
-		s.bwStopOnce.Do(func() { close(s.bwStop) })
-		<-s.bwDone
 		close(done)
 	}()
 	select {
@@ -1082,7 +1010,3 @@ func (s *Server) Close() error {
 // QueueDepth reports current queue occupancy across all classes
 // (diagnostic).
 func (s *Server) QueueDepth() int { return s.queue.len() }
-
-// BrownoutLevel reports the brownout ladder level currently applied to new
-// jobs (0 = full service; diagnostic).
-func (s *Server) BrownoutLevel() int { return s.brown.currentLevel() }

@@ -73,11 +73,9 @@ type Response struct {
 	QueueWaitMS  float64 `json:"queue_wait_ms,omitempty"`
 	ElapsedMS    float64 `json:"elapsed_ms,omitempty"`
 	RetryAfterMS float64 `json:"retry_after_ms,omitempty"`
-	// DegradedByBrownout marks a verdict produced while the server's
-	// brownout controller had the ladder degraded (shrunk step pots or
-	// search skipped). The answer is still valid — the marker tells the
-	// client it was bought at reduced quality so latency-sensitive callers
-	// can decide to re-ask later.
+	// DegradedByBrownout is always false, so the field never appears on
+	// the wire. The server no longer degrades its ladder under load; the
+	// field stays so v1 decoders that know it keep working.
 	DegradedByBrownout bool   `json:"degraded_by_brownout,omitempty"`
 	Error              string `json:"error,omitempty"`
 }

@@ -510,11 +510,14 @@ func (lr *ladderRun) execute(stage string, steps int64, deadline time.Time) (*bu
 		// The planner hands Request.Ctx to every packing attempt; leaving
 		// it on the config as well would poll the same context twice.
 		cfg.Ctx = nil
+		// Every attempt is a search; the stage reports their summed effort.
+		var st Stats
+		tally := func(res core.Result) { st = st.plus(statsFrom(res)) }
 		req := spill.Request{
 			Problem:   lr.q,
 			Weights:   lr.c.pipe.weights,
 			Pinned:    lr.c.pipe.pinned,
-			Allocator: core.Allocator{Config: cfg},
+			Allocator: core.Allocator{Config: cfg, Tally: tally},
 			MaxSpills: lr.c.pipe.maxSpills,
 			Ctx:       lr.c.ctx,
 			Deadline:  deadline,
@@ -529,22 +532,20 @@ func (lr *ladderRun) execute(stage string, steps int64, deadline time.Time) (*bu
 		if err != nil {
 			switch {
 			case errors.Is(err, spill.ErrCancelled):
-				return nil, nil, Stats{}, fmt.Errorf("%w: spill stage: %v", ErrCancelled, err)
+				return nil, nil, st, fmt.Errorf("%w: spill stage: %v", ErrCancelled, err)
 			case errors.Is(err, spill.ErrDeadline):
-				return nil, nil, Stats{}, fmt.Errorf("%w: spill stage: %v", ErrBudget, err)
+				return nil, nil, st, fmt.Errorf("%w: spill stage: %v", ErrBudget, err)
 			case errors.Is(err, spill.ErrAllocatorPanic), errors.Is(err, core.ErrPanic):
-				return nil, nil, Stats{}, fmt.Errorf("%w: spill stage: %v", ErrInternal, err)
-			case errors.Is(err, spill.ErrCannotFit):
-				return nil, nil, Stats{}, fmt.Errorf("%w: spill stage: %v", ErrNoSolution, err)
+				return nil, nil, st, fmt.Errorf("%w: spill stage: %v", ErrInternal, err)
 			default:
-				return nil, nil, Stats{}, fmt.Errorf("%w: spill stage: %v", ErrNoSolution, err)
+				return nil, nil, st, fmt.Errorf("%w: spill stage: %v", ErrNoSolution, err)
 			}
 		}
 		return plan.Solution, &SpillPlan{
 			Spilled:   append([]int(nil), plan.Spilled...),
 			SpillCost: plan.SpillCost,
 			Attempts:  plan.Attempts,
-		}, Stats{}, nil
+		}, st, nil
 	}
 	return nil, nil, Stats{}, fmt.Errorf("%w: unknown pipeline stage %q", ErrInvalidProblem, stage)
 }
@@ -565,6 +566,17 @@ func statsFrom(res core.Result) Stats {
 		MinorBacktracks: res.Stats.MinorBacktracks,
 		MajorBacktracks: res.Stats.MajorBacktracks,
 		Subproblems:     res.Subproblems,
+	}
+}
+
+// plus sums two effort records.
+func (s Stats) plus(o Stats) Stats {
+	return Stats{
+		Steps:           s.Steps + o.Steps,
+		Placements:      s.Placements + o.Placements,
+		MinorBacktracks: s.MinorBacktracks + o.MinorBacktracks,
+		MajorBacktracks: s.MajorBacktracks + o.MajorBacktracks,
+		Subproblems:     s.Subproblems + o.Subproblems,
 	}
 }
 

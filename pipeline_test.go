@@ -13,6 +13,7 @@ import (
 
 	"telamalloc/internal/buffers"
 	"telamalloc/internal/faultinject"
+	"telamalloc/internal/obs"
 	"telamalloc/internal/workload"
 )
 
@@ -363,5 +364,33 @@ func TestPipelineSpillStopsAtDeadline(t *testing.T) {
 	}
 	if res.Spill != nil && len(res.Spill.Spilled) == len(p.Buffers) {
 		t.Fatalf("winner %s evicted all %d buffers after the deadline", res.Winner, len(p.Buffers))
+	}
+}
+
+// TestPipelineSpillReportsItsSteps pins the spill stage's effort
+// accounting. Every spill attempt is a search, so the stage must report the
+// steps of all of them: everything the solver's own steps-per-solve
+// histogram saw, less the search stage's share. The stage's steps counter
+// must agree.
+func TestPipelineSpillReportsItsSteps(t *testing.T) {
+	q := workload.GenImageModel1(3)
+	q.Memory = buffers.Contention(q).Peak() * 101 / 100
+	reg := obs.NewRegistry()
+	res, err := AllocatePipeline(fromInternal(q), WithMaxSteps(100000), WithParallelism(1), WithObservability(reg))
+	if err != nil {
+		t.Fatalf("pipeline: %v", err)
+	}
+	if res.Winner != StageSpill || res.Spill == nil || res.Spill.Attempts < 2 {
+		t.Fatalf("winner %q spill %+v, want a spill win over several attempts", res.Winner, res.Spill)
+	}
+	solverSteps := int64(reg.Histogram("telamalloc_solver_steps_per_solve", "").Sum())
+	search, spill := stageByName(t, res, StageSearch), stageByName(t, res, StageSpill)
+	if want := solverSteps - search.Stats.Steps; spill.Stats.Steps != want || want <= 0 {
+		t.Fatalf("spill stage reports %d steps, the solver ran %d beyond search's %d",
+			spill.Stats.Steps, want, search.Stats.Steps)
+	}
+	counted := reg.Counter("telamalloc_stage_steps_total", "", obs.Label{Key: "stage", Value: StageSpill}).Value()
+	if counted != spill.Stats.Steps {
+		t.Fatalf("stage steps counter %d, report %d", counted, spill.Stats.Steps)
 	}
 }
